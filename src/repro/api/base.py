@@ -48,7 +48,6 @@ from repro.dsps.catalog import SystemCatalog
 from repro.dsps.plan import QueryPlan, extract_plan
 from repro.dsps.query import Query, QueryWorkloadItem
 from repro.exceptions import PlanError, PlanningError
-from repro.milp import SolverBackend
 
 
 @dataclass
@@ -86,8 +85,6 @@ class PlannerConfig:
     validate_after_apply:
         Run the full allocation validator after every admission (slower, but
         catches decoding bugs; enabled by default in tests).
-    backend:
-        MILP solver backend.
     max_abstract_plans:
         Cap on abstract plan enumeration in the heuristic planner.
     use_miniw:
@@ -102,13 +99,6 @@ class PlannerConfig:
         :class:`repro.core.model_builder.ModelReuseCache`).  A reuse hit
         skips model construction and lowering entirely; it never changes
         planning results, because the key covers every build input.
-    warm_start:
-        Warm-start successive solves from the previous planning round: the
-        last deployed placement seeds the branch-and-bound incumbent (by
-        variable name, so it survives model rebuilds), and within one solve
-        child nodes re-start the simplex from their parent's basis.
-        Disabling this forces every solve fully cold.  Warm and cold solves
-        reach the same optimum; only the time to get there differs.
     reuse_index:
         Maintain a persistent sub-plan index
         (:class:`repro.dsps.subplan.SubPlanIndex`) of every resident
@@ -127,7 +117,7 @@ class PlannerConfig:
         ``"serial"``, ``"thread"`` (default) or ``"process"``.  The
         process backend runs shard solves on long-lived worker processes
         holding warm planner replicas — true multicore on the GIL-bound
-        solver core.  Decisions and allocation fingerprints are
+        planning code.  Decisions and allocation fingerprints are
         identical across backends; only wall-clock differs.
     """
 
@@ -141,12 +131,10 @@ class PlannerConfig:
     mip_gap: float = 1e-3
     garbage_collect: bool = True
     validate_after_apply: bool = False
-    backend: SolverBackend = SolverBackend.AUTO
     max_abstract_plans: int = 64
     use_miniw: bool = True
     record_plans: bool = False
     reuse_model: bool = True
-    warm_start: bool = True
     reuse_index: bool = True
     exec_backend: str = "thread"
 
@@ -164,12 +152,9 @@ _EXTRA_DEFAULTS: Dict[str, Any] = {
     "rejected_by": "",
     "marginal_cpu": 0.0,
     "reused_model": False,
-    "warm_seeded": False,
     "reuse_exact": False,
     "reuse_partial": False,
     "reuse_overlapping_queries": 0,
-    "solver_counters": None,
-    "perturbation_resolve": False,
 }
 
 
@@ -333,26 +318,6 @@ class PlannerStats:
             return 0.0
         return sum(o.planning_time for o in outcomes) / len(outcomes)
 
-    def solver_counters(self) -> Dict[str, int]:
-        """Summed simplex counters over all recorded outcomes.
-
-        Outcomes of one planning round (a batch, or stage A + stage B of a
-        two-stage solve) share a single counters dict, so aggregation
-        dedupes by object identity — a batch of ten queries counts its
-        solve once.  Empty when no outcome carries counters (non-MILP
-        planners, scipy backends).
-        """
-        totals: Dict[str, int] = {}
-        seen: set = set()
-        for outcome in self._outcomes_snapshot():
-            counters = outcome.extras.get("solver_counters")
-            if not counters or id(counters) in seen:
-                continue
-            seen.add(id(counters))
-            for key, value in counters.items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
 
 class Planner(PlannerStats, ABC):
     """Abstract base class every query planner implements.
@@ -390,21 +355,6 @@ class Planner(PlannerStats, ABC):
     @abstractmethod
     def submit(self, query: Union[Query, QueryWorkloadItem]) -> PlanningOutcome:
         """Plan one query and return its outcome."""
-
-    def resubmit(
-        self,
-        query: Union[Query, QueryWorkloadItem],
-        time_limit: Optional[float] = None,
-    ) -> PlanningOutcome:
-        """Re-plan a query the system already knows (churn victim, retry).
-
-        Admission decisions are identical to :meth:`submit`; the distinction
-        lets planners route perturbation re-solves through a warm-start path
-        (the SQPR planner resumes the incumbent simplex basis with the dual
-        simplex) and lets metrics separate re-plan cost from first-admission
-        cost.  The default simply delegates to :meth:`submit`.
-        """
-        return self.submit(query)
 
     def submit_batch(
         self,

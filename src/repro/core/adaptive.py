@@ -15,7 +15,7 @@ without those queries and re-adding them":
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Iterable, List, Optional, Set
 
 from repro.api.base import Planner, PlanningOutcome
 from repro.dsps.allocation import Allocation
@@ -46,10 +46,6 @@ class ReplanReport:
     #: Delta-validation result over the structures the round touched
     #: (empty in normal operation; see :meth:`AdaptiveReplanner.replan`).
     violations: List[str] = field(default_factory=list)
-    #: Simplex counters summed over the round's re-submissions (empty for
-    #: planners/backends that report none) — what the re-plan cost in
-    #: dual-simplex resumes, phase-1 iterations, pricing passes, etc.
-    solver_counters: Dict[str, int] = field(default_factory=dict)
 
     @property
     def fully_recovered(self) -> bool:
@@ -135,24 +131,13 @@ class AdaptiveReplanner:
         # structures no surviving query needs (shared with Planner.retire).
         self.planner.allocation = allocation.without_queries(victims)
 
-        # Step 3: re-add the victims through the re-planning path (a
-        # perturbation re-solve; MILP planners warm-start it from the
-        # incumbent basis via the dual simplex).
-        seen_counters: Set[int] = set()
+        # Step 3: re-add the victims through the normal planning path.
         for victim in victims:
-            query = catalog.get_query(victim)
-            outcome = self.planner.resubmit(query)
+            outcome = self.planner.submit(catalog.get_query(victim))
             if outcome.admitted:
                 report.readmitted.append(victim)
             else:
                 report.dropped.append(victim)
-            counters = outcome.extras.get("solver_counters")
-            if counters and id(counters) not in seen_counters:
-                seen_counters.add(id(counters))
-                for key, value in counters.items():
-                    report.solver_counters[key] = (
-                        report.solver_counters.get(key, 0) + value
-                    )
         # Re-validate only the structures the round actually moved.  The
         # allocation's pending touched accumulator already covers them (the
         # garbage-collection rebuild seeds it via inherit_touched and the

@@ -765,7 +765,7 @@ class FederatedPlanner(Planner):
     @property
     def reuse_stats(self) -> Dict[str, int]:
         """Model-reuse hits/misses summed over the shards + coordinator."""
-        totals = {"hits": 0, "misses": 0, "basis_hits": 0, "basis_misses": 0}
+        totals = {"hits": 0, "misses": 0}
         for planner in self._inner_planners():
             stats = getattr(planner, "reuse_stats", None)
             if stats:

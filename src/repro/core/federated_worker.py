@@ -3,7 +3,7 @@
 The federated planner's process backend keeps one long-lived forked
 worker per slot (:class:`~repro.utils.pool.PersistentProcessPool`), each
 holding *warm shard replicas* — the per-site inner planners, their
-:class:`~repro.core.model_builder.ModelReuseCache`/basis stores and
+:class:`~repro.core.model_builder.ModelReuseCache`\\ s and
 :class:`~repro.dsps.catalog.SiteCatalogView`\\ s — inherited by fork at
 pool creation and kept in sync from then on with compact picklable
 deltas.  The wire format is the delta, not the state:
@@ -150,9 +150,7 @@ def sanitize_outcomes(outcomes: Sequence) -> List:
 
     ``solve_result`` holds live :class:`~repro.milp.expression.Variable`
     references into the worker's model cache — meaningless (and heavy)
-    across the process boundary.  The shared ``solver_counters`` dicts
-    are kept: the whole response is pickled in one call, so their
-    identity-based deduplication survives the trip.
+    across the process boundary.
     """
     for outcome in outcomes:
         if "solve_result" in outcome.extras:
@@ -272,7 +270,7 @@ class _ShardWorker:
         return {"status": "ok"}
 
     def _op_stats(self, body: Any) -> Dict[str, Any]:
-        totals = {"hits": 0, "misses": 0, "basis_hits": 0, "basis_misses": 0}
+        totals = {"hits": 0, "misses": 0}
         for shard in self.shards.values():
             stats = getattr(shard, "reuse_stats", None)
             if stats:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.core.reduction import ReplanScope
 from repro.core.weights import ObjectiveWeights
@@ -476,7 +476,7 @@ class ModelReuseCache:
     round whose reduced scope *and* system state match a previous round gets
     the previous round's model back verbatim — no variable creation, no
     constraint assembly, and (through the standard-form cache on the model)
-    no re-lowering.  Hits require resubmitting the *same* registered
+    no re-lowering.  Hits require submitting the *same* registered
     :class:`~repro.dsps.query.Query` while the allocation is unchanged —
     the retry-after-rejection loop (a rejection leaves the allocation
     untouched).  Submitting a fresh ``QueryWorkloadItem`` registers a new
@@ -504,16 +504,6 @@ class ModelReuseCache:
         self.hits = 0
         self.misses = 0
         self._entries: "OrderedDict[Tuple, SqprModel]" = OrderedDict()
-        # Incumbent simplex bases keyed by model *structure* (not full build
-        # inputs): a basis survives bound/RHS perturbations of the same
-        # row/column layout, which is exactly what the dual simplex resumes
-        # from.  A structurally stale basis is detected and discarded by the
-        # LP engine itself, so an imperfect key costs a cold fallback, never
-        # a wrong answer.
-        self._basis_store: "OrderedDict[Tuple, object]" = OrderedDict()
-        self._hot_basis_key: Optional[Tuple] = None
-        self.basis_hits = 0
-        self.basis_misses = 0
         self._lock = threading.Lock()
 
     def clear(self) -> None:
@@ -522,48 +512,6 @@ class ModelReuseCache:
             self._entries.clear()
             self.hits = 0
             self.misses = 0
-            self._basis_store.clear()
-            self._hot_basis_key = None
-            self.basis_hits = 0
-            self.basis_misses = 0
-
-    # ----------------------------------------------------------- basis store
-    def store_basis(self, key: Tuple, basis) -> None:
-        """Remember the incumbent basis for a model structure.
-
-        Only the most recently stored basis keeps its ``m x m`` inverse
-        (the next solve under the same structure re-installs it without a
-        refactorisation); older entries are stripped to their column/bound
-        vectors, bounding the store's memory at one inverse regardless of
-        how many structures are live.
-        """
-        if basis is None:
-            return
-        with self._lock:
-            if (
-                self._hot_basis_key is not None
-                and self._hot_basis_key != key
-                and self._hot_basis_key in self._basis_store
-            ):
-                self._basis_store[self._hot_basis_key].binv = None
-            self._hot_basis_key = key
-            self._basis_store[key] = basis
-            self._basis_store.move_to_end(key)
-            while len(self._basis_store) > self.max_entries:
-                evicted_key, _ = self._basis_store.popitem(last=False)
-                if evicted_key == self._hot_basis_key:
-                    self._hot_basis_key = None
-
-    def basis_for(self, key: Tuple):
-        """The stored incumbent basis for ``key``, or ``None`` (counted)."""
-        with self._lock:
-            basis = self._basis_store.get(key)
-            if basis is not None:
-                self._basis_store.move_to_end(key)
-                self.basis_hits += 1
-                return basis
-            self.basis_misses += 1
-            return None
 
     def get_or_build(
         self,

@@ -58,20 +58,10 @@ class SQPRPlanner(Planner):
             catalog, load_balancing=self.config.load_balancing
         )
         self.solver = solver or MilpSolver(
-            backend=self.config.backend,
-            time_limit=self.config.time_limit,
-            mip_gap=self.config.mip_gap,
-            warm_start=self.config.warm_start,
+            time_limit=self.config.time_limit, mip_gap=self.config.mip_gap
         )
         self.allocation = allocation if allocation is not None else Allocation(catalog)
         self._reuse_cache = ModelReuseCache()
-        # Last applied solution, keyed by variable *name* so it survives
-        # model rebuilds: names like "y[h,s]" are stable across rounds.
-        self._last_values: Dict[str, float] = {}
-        # True while a churn/repair path re-submits an already-known query
-        # (see resubmit); tagged onto outcome extras so re-plan cost can be
-        # separated from first-admission cost in metrics.
-        self._resubmitting = False
         self._subplan_index: Optional[SubPlanIndex] = (
             SubPlanIndex(catalog) if self.config.reuse_index else None
         )
@@ -83,10 +73,9 @@ class SQPRPlanner(Planner):
             self._subplan_index.rebuild(self.allocation)
 
     def reset(self) -> None:
-        """Forget outcomes, allocation, cached models and warm-start state."""
+        """Forget outcomes, allocation and cached models."""
         super().reset()
         self._reuse_cache.clear()
-        self._last_values = {}
         if self._subplan_index is not None:
             self._subplan_index.invalidate()
             self._subplan_index.rebuild(self.allocation)
@@ -95,13 +84,11 @@ class SQPRPlanner(Planner):
         """Invalidate solver-layer caches after hosts failed or joined.
 
         The reuse-cache key covers the active host set, so stale hits are
-        impossible either way; dropping the entries and the warm-start hint
-        just frees models and variable values built for a topology that no
-        longer exists.  SQPR never drops queries here — placement-level
-        eviction happens in the engine.
+        impossible either way; dropping the entries just frees models built
+        for a topology that no longer exists.  SQPR never drops queries
+        here — placement-level eviction happens in the engine.
         """
         self._reuse_cache.clear()
-        self._last_values = {}
         if self._subplan_index is not None:
             # Plan extraction reads catalog state (base-injection liveness)
             # that the index's read keys do not cover, so cached sub-plan
@@ -111,19 +98,8 @@ class SQPRPlanner(Planner):
 
     @property
     def reuse_stats(self) -> Dict[str, int]:
-        """Model-reuse cache counters for this planner.
-
-        ``hits``/``misses`` count whole-model reuse; ``basis_hits``/
-        ``basis_misses`` count incumbent simplex bases handed to the solver
-        for dual-simplex warm re-planning (only the branch-and-bound
-        backend consumes them).
-        """
-        return {
-            "hits": self._reuse_cache.hits,
-            "misses": self._reuse_cache.misses,
-            "basis_hits": self._reuse_cache.basis_hits,
-            "basis_misses": self._reuse_cache.basis_misses,
-        }
+        """Whole-model reuse cache counters (``hits``/``misses``)."""
+        return {"hits": self._reuse_cache.hits, "misses": self._reuse_cache.misses}
 
     @property
     def subplan_stats(self) -> Dict[str, int]:
@@ -176,26 +152,6 @@ class SQPRPlanner(Planner):
         """Plan a single new query (Algorithm 1) and return the outcome."""
         outcomes = self.submit_batch([query], time_limit=time_limit)
         return outcomes[0]
-
-    def resubmit(
-        self,
-        query: Union[Query, QueryWorkloadItem],
-        time_limit: Optional[float] = None,
-    ) -> PlanningOutcome:
-        """Re-plan a query after a perturbation (churn, eviction, drift).
-
-        Identical decisions to :meth:`submit`; the solve is a perturbation
-        re-solve of a model structure the planner has typically already
-        seen, so the incumbent-basis store usually turns it into a
-        dual-simplex warm start.  The outcome is tagged with
-        ``perturbation_resolve=True`` so metrics can separate re-plan cost
-        from first-admission cost.
-        """
-        self._resubmitting = True
-        try:
-            return self.submit(query, time_limit=time_limit)
-        finally:
-            self._resubmitting = False
 
     def submit_batch(
         self,
@@ -256,31 +212,6 @@ class SQPRPlanner(Planner):
         return self._record_many(ordered)
 
     # ---------------------------------------------------------------- planning
-    def _basis_key(self, scope, frozen_mode: bool, force_admission: bool) -> tuple:
-        """Structure key for the incumbent-basis store.
-
-        Covers everything that shapes the standard form's row/column layout
-        (scope sets, build flags, host set) but deliberately *not* the
-        allocation fingerprint — bound/RHS drift between rounds is exactly
-        what the dual simplex absorbs.  Allocation changes that do alter
-        the row structure make the stored basis dimensionally stale, which
-        the LP engine detects and discards on install.
-        """
-        return (
-            frozen_mode,
-            force_admission,
-            self.config.allow_relay,
-            self.config.max_relay_hops,
-            scope.streams,
-            scope.operators,
-            scope.keep_provided,
-            scope.replanned_queries,
-            frozenset(
-                self.catalog.get_query(qid).result_stream for qid in scope.new_queries
-            ),
-            tuple(self.catalog.host_ids),
-        )
-
     def _solve_stage(
         self,
         queries: List[Query],
@@ -316,33 +247,7 @@ class SQPRPlanner(Planner):
                 self.catalog, self.allocation, scope, self.weights, **build_kwargs
             )
             reused = False
-        if self.config.warm_start:
-            # Seed the solver with the previous round's deployed placement:
-            # shared sub-plans keep their variable names across rebuilds, so
-            # a feasible previous solution becomes the initial incumbent.
-            hint = {
-                var: self._last_values[var.name]
-                for var in built.model.variables
-                if var.name in self._last_values
-            }
-            built.model.set_warm_start(hint)
-        else:
-            built.model.set_warm_start({})
-        basis_key = None
-        if self.config.warm_start:
-            # Dual-simplex warm start: resume the root relaxation from the
-            # incumbent basis of the last solve with this model structure
-            # (a perturbation re-solve after churn, a retry, a stage-B
-            # forced-admission variant of a structure seen before).
-            basis_key = self._basis_key(
-                scope, frozen_mode, build_kwargs["force_admission"]
-            )
-            built.model.set_basis_hint(self._reuse_cache.basis_for(basis_key))
-        else:
-            built.model.set_basis_hint(None)
         result = self.solver.solve(built.model, time_limit=time_limit)
-        if basis_key is not None and getattr(result, "root_basis", None) is not None:
-            self._reuse_cache.store_basis(basis_key, result.root_basis)
         return scope, built, result, reused
 
     def _apply_if_admitting(self, built, result) -> frozenset:
@@ -361,10 +266,6 @@ class SQPRPlanner(Planner):
             and index.is_fresh(self.allocation)
         )
         self.allocation.apply(decoded.delta)
-        if self.config.warm_start:
-            self._last_values = {
-                var.name: value for var, value in result.values.items()
-            }
         if self.config.garbage_collect:
             # Timed-out incumbents may contain redundant placements and
             # flows; keep only what admitted queries actually need so wasted
@@ -442,16 +343,6 @@ class SQPRPlanner(Planner):
         replan = self.config.replan_overlapping
         use_two_stage = self.config.two_stage and replan
 
-        # One counters dict is shared by every outcome of this planning
-        # round (stage A + stage B summed); consumers that aggregate over
-        # outcomes dedupe by object identity so a batch is not multiple-
-        # counted.
-        solver_counters: Dict[str, int] = {}
-
-        def merge_counters(result) -> None:
-            for key, value in (getattr(result, "lp_counters", None) or {}).items():
-                solver_counters[key] = solver_counters.get(key, 0) + value
-
         admitted_ids: frozenset = frozenset()
         if use_two_stage:
             # Stage A: a small greedy-reuse model (existing structures frozen).
@@ -462,7 +353,6 @@ class SQPRPlanner(Planner):
                 replan_overlapping=False,
                 time_limit=stage_a_limit,
             )
-            merge_counters(result)
             admitted_ids = self._apply_if_admitting(built, result)
             rejected = self._relocation_candidates(
                 [
@@ -491,7 +381,6 @@ class SQPRPlanner(Planner):
                     time_limit=remaining,
                     force_admission=True,
                 )
-                merge_counters(result)
                 admitted_ids = admitted_ids | self._apply_if_admitting(
                     built, result
                 )
@@ -502,7 +391,6 @@ class SQPRPlanner(Planner):
                 replan_overlapping=replan,
                 time_limit=time_limit,
             )
-            merge_counters(result)
             admitted_ids = self._apply_if_admitting(built, result)
 
         elapsed = watch.elapsed()
@@ -524,9 +412,6 @@ class SQPRPlanner(Planner):
                         "scope_streams": scope.num_streams,
                         "scope_operators": scope.num_operators,
                         "reused_model": reused,
-                        "warm_seeded": bool(built.model.warm_start),
-                        "solver_counters": solver_counters,
-                        "perturbation_resolve": self._resubmitting,
                     },
                 )
             )

@@ -1,22 +1,16 @@
 """A small mixed-integer linear programming (MILP) toolkit.
 
 The SQPR paper formulates query planning as a MILP and solves it with
-CPLEX 11.2.  CPLEX (and PuLP/OR-Tools) are not available in this
-environment, so this subpackage provides the substrate the planner needs:
+CPLEX 11.2 under a per-query timeout.  This subpackage provides the same
+service on top of ``scipy.optimize.milp`` (HiGHS):
 
 * a modelling layer (:class:`Variable`, :class:`LinExpr`,
   :class:`Constraint`, :class:`Model`) in the spirit of PuLP,
-* a sparse lowering to standard form (:mod:`repro.milp.standard_form` over
-  :class:`~repro.milp.sparse.CsrMatrix`),
-* a warm-starting pure-Python branch-and-bound solver over LP relaxations
-  (:mod:`repro.milp.branch_and_bound`), with LP relaxations solved by the
-  vectorized revised simplex (:mod:`repro.milp.simplex`), by
-  ``scipy.optimize.linprog``, or by the dense reference tableau
-  (:mod:`repro.milp.dense_simplex`),
-* an optional ``scipy.optimize.milp`` (HiGHS) backend, and
-* a :class:`MilpSolver` facade that picks a backend, honours wall-clock
-  time limits and always reports the best incumbent found — mirroring the
-  way SQPR invokes CPLEX with a timeout.
+* a sparse lowering to standard form (:mod:`repro.milp.standard_form`,
+  emitting ``scipy.sparse.csr_matrix`` blocks), and
+* a :class:`MilpSolver` facade that hands the lowered model to HiGHS,
+  honours wall-clock time limits and always reports the best incumbent
+  found.
 """
 
 from repro.milp.expression import LinExpr, Variable, VarType, lin_sum
@@ -24,13 +18,6 @@ from repro.milp.constraint import Constraint, ConstraintSense
 from repro.milp.model import Model, ObjectiveSense
 from repro.milp.solver import MilpSolver, SolverBackend
 from repro.milp.result import SolveResult, SolveStatus
-from repro.milp.simplex import (
-    LpSolution,
-    SimplexBasis,
-    SolverCounters,
-    SOLVER_COUNTER_FIELDS,
-)
-from repro.milp.sparse import CsrMatrix
 
 __all__ = [
     "Variable",
@@ -45,9 +32,4 @@ __all__ = [
     "SolverBackend",
     "SolveResult",
     "SolveStatus",
-    "LpSolution",
-    "SimplexBasis",
-    "SolverCounters",
-    "SOLVER_COUNTER_FIELDS",
-    "CsrMatrix",
 ]

@@ -44,8 +44,6 @@ class Model:
         self._constraints: List[Constraint] = []
         self._objective: LinExpr = LinExpr()
         self._fixed_values: Dict[Variable, float] = {}
-        self._warm_start: Dict[Variable, float] = {}
-        self._basis_hint = None
         self._revision = 0
 
     # ------------------------------------------------------------------ revision
@@ -55,7 +53,6 @@ class Model:
 
         Consumers that lower the model (``to_standard_form``) cache per
         revision, so repeated solves of an unchanged model skip re-lowering.
-        The warm-start hint is *not* structural and does not bump it.
         """
         return self._revision
 
@@ -207,34 +204,6 @@ class Model:
             value = self._fixed_values[var]
             return (value, value)
         return (var.lower, var.upper)
-
-    # ---------------------------------------------------------------- warm start
-    def set_warm_start(self, assignment: Mapping[Variable, float]) -> None:
-        """Provide a (possibly partial) starting assignment hint."""
-        self._warm_start = dict(assignment)
-
-    @property
-    def warm_start(self) -> Mapping[Variable, float]:
-        """The warm-start hint (possibly empty)."""
-        return dict(self._warm_start)
-
-    def set_basis_hint(self, basis) -> None:
-        """Attach an opaque simplex basis from a previous solve of a model
-        with the same structure (same rows and columns; bounds and
-        right-hand sides may differ).
-
-        The branch-and-bound backend resumes its root relaxation from this
-        basis with the dual simplex; a structurally mismatched hint is
-        detected and silently discarded by the LP engine, so setting a
-        stale hint is always safe.  Like ``set_warm_start`` this is a
-        non-structural hint and does not bump the model revision.
-        """
-        self._basis_hint = basis
-
-    @property
-    def basis_hint(self):
-        """The simplex basis hint, or ``None``."""
-        return self._basis_hint
 
     # -------------------------------------------------------------- evaluation
     def objective_value(self, assignment: Mapping[Variable, float]) -> float:

@@ -1,10 +1,10 @@
-"""Solve results and statuses shared by all MILP backends."""
+"""Solve results and statuses of the MILP solver."""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional
+from typing import Dict, Optional
 
 from repro.milp.expression import Variable
 
@@ -46,19 +46,9 @@ class SolveResult:
     solve_time:
         Wall-clock seconds spent inside the backend.
     nodes:
-        Number of branch-and-bound nodes processed (0 for direct backends).
+        Number of branch-and-bound nodes HiGHS processed.
     backend:
         Name of the backend that produced this result.
-    lp_counters:
-        Simplex iteration/maintenance counters summed over every LP solved
-        for this result (phase-1/primal/dual iterations, bound flips,
-        pricing passes, refactorisations, dual resumes, warm repairs, cold
-        fallbacks).  Empty for backends that do not run the in-repo simplex.
-    root_basis:
-        Opaque :class:`~repro.milp.simplex.SimplexBasis` of the root LP
-        relaxation, when the in-repo simplex produced one.  Callers can
-        feed it back via ``Model.set_basis_hint`` to dual-warm-start the
-        next solve of a perturbed version of the same model.
     """
 
     status: SolveStatus
@@ -68,8 +58,6 @@ class SolveResult:
     solve_time: float = 0.0
     nodes: int = 0
     backend: str = ""
-    lp_counters: Dict[str, int] = field(default_factory=dict)
-    root_basis: Optional[Any] = None
 
     @property
     def has_solution(self) -> bool:

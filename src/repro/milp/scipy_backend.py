@@ -1,8 +1,8 @@
 """MILP backend delegating to ``scipy.optimize.milp`` (HiGHS).
 
-HiGHS is the fastest solver available in this environment and plays the role
-of CPLEX in the original paper: it is handed the model together with a time
-limit and asked for the best solution it can find in that budget.
+HiGHS plays the role of CPLEX in the original paper: it is handed the model
+together with a time limit and asked for the best solution it can find in
+that budget.
 """
 
 from __future__ import annotations
@@ -10,26 +10,12 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp as _scipy_milp
 
-from repro.exceptions import SolverError
 from repro.milp.model import Model
 from repro.milp.result import SolveResult, SolveStatus
 from repro.milp.standard_form import to_standard_form
 from repro.utils.timer import Stopwatch
-
-try:  # pragma: no cover - depends on environment
-    from scipy.optimize import Bounds, LinearConstraint, milp as _scipy_milp
-    from scipy.sparse import csr_matrix as _scipy_csr
-except ImportError:  # pragma: no cover
-    _scipy_milp = None
-    Bounds = None
-    LinearConstraint = None
-    _scipy_csr = None
-
-
-def highs_available() -> bool:
-    """Whether the ``scipy.optimize.milp`` backend can be used."""
-    return _scipy_milp is not None
 
 
 def solve_with_highs(
@@ -38,24 +24,18 @@ def solve_with_highs(
     mip_rel_gap: float = 1e-6,
 ) -> SolveResult:
     """Solve ``model`` with HiGHS via scipy, honouring ``time_limit``."""
-    if not highs_available():
-        raise SolverError("scipy.optimize.milp is not available in this environment")
-
     watch = Stopwatch()
     form = to_standard_form(model)
 
-    # Hand HiGHS the CSR arrays directly — SQPR models are large and sparse,
-    # so densifying them here would dominate the solve's memory footprint.
-    def _matrix(block):
-        if _scipy_csr is not None:
-            return _scipy_csr(block.tocsr_arrays(), shape=block.shape)
-        return block.toarray()
-
+    # Test blocks by row count, not ``.size``: a scipy sparse matrix's size
+    # is its stored entries, so a row whose coefficients are all zero
+    # (``0 <= -1``) would otherwise be dropped instead of proving the model
+    # infeasible.
     constraints = []
-    if form.a_ub.size:
-        constraints.append(LinearConstraint(_matrix(form.a_ub), -np.inf, form.b_ub))
-    if form.a_eq.size:
-        constraints.append(LinearConstraint(_matrix(form.a_eq), form.b_eq, form.b_eq))
+    if form.a_ub.shape[0]:
+        constraints.append(LinearConstraint(form.a_ub, -np.inf, form.b_ub))
+    if form.a_eq.shape[0]:
+        constraints.append(LinearConstraint(form.a_eq, form.b_eq, form.b_eq))
 
     bounds = Bounds(form.lower, form.upper)
     options = {"presolve": True, "mip_rel_gap": mip_rel_gap}
@@ -71,6 +51,7 @@ def solve_with_highs(
     )
 
     elapsed = watch.elapsed()
+    nodes = int(getattr(result, "mip_node_count", None) or 0)
     # scipy milp statuses: 0 optimal, 1 iteration/time limit, 2 infeasible,
     # 3 unbounded, 4 other.
     if result.x is not None:
@@ -86,12 +67,12 @@ def solve_with_highs(
             values=values,
             bound=bound,
             solve_time=elapsed,
+            nodes=nodes,
             backend="highs",
         )
-    if result.status == 2:
-        return SolveResult(SolveStatus.INFEASIBLE, solve_time=elapsed, backend="highs")
-    if result.status == 3:
-        return SolveResult(SolveStatus.UNBOUNDED, solve_time=elapsed, backend="highs")
-    if result.status == 1:
-        return SolveResult(SolveStatus.TIMEOUT, solve_time=elapsed, backend="highs")
-    return SolveResult(SolveStatus.ERROR, solve_time=elapsed, backend="highs")
+    status = {
+        1: SolveStatus.TIMEOUT,
+        2: SolveStatus.INFEASIBLE,
+        3: SolveStatus.UNBOUNDED,
+    }.get(result.status, SolveStatus.ERROR)
+    return SolveResult(status, solve_time=elapsed, nodes=nodes, backend="highs")

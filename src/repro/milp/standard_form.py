@@ -9,11 +9,10 @@ The standard form produced here matches the conventions of
 * ``lb <= x <= ub``
 * ``integrality[i] == 1`` marks integer variables.
 
-``A_ub``/``A_eq`` are :class:`~repro.milp.sparse.CsrMatrix` — SQPR models
-are a few non-zeros per row across thousands of columns, and the fig. 5
-scale experiments made dense lowering the dominant memory cost.  Callers
-that need dense blocks use ``.toarray()``; dimension probes (``.shape``,
-``.size``) behave like ``ndarray``.
+``A_ub``/``A_eq`` are ``scipy.sparse.csr_matrix`` — SQPR models are a few
+non-zeros per row across thousands of columns, so dense lowering would
+dominate memory.  Note that a sparse matrix's ``.size`` counts stored
+entries; use ``.shape[0]`` for the number of rows.
 
 Maximisation models are lowered by negating ``c``; callers use
 :attr:`StandardForm.objective_sign` and :attr:`StandardForm.objective_offset`
@@ -22,9 +21,8 @@ to translate optimal values back to the model's original objective.
 Lowering is cached per model revision: :func:`to_standard_form` returns the
 same :class:`StandardForm` until the model is structurally modified (see
 :attr:`Model.revision`; the objective sense is part of the cache key too).
-The two-stage planner, the branch-and-bound solver and warm-start
-feasibility checks all lower the same model, so the cache removes repeated
-O(nnz) passes from the planning hot path.  Mutating ``Variable.lower`` /
+A model served from the planner's reuse cache is solved again without
+another O(nnz) lowering pass.  Mutating ``Variable.lower`` /
 ``Variable.upper`` after a solve is safe: bound assignment on a registered
 variable routes through a revision-bumping setter, so the cached
 :class:`StandardForm` is invalidated exactly like any other structural
@@ -38,12 +36,12 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from repro.exceptions import ModelError
 from repro.milp.constraint import ConstraintSense
 from repro.milp.model import Model, ObjectiveSense
 from repro.milp.expression import Variable
-from repro.milp.sparse import CsrMatrix
 
 
 @dataclass
@@ -52,15 +50,14 @@ class StandardForm:
 
     Instances are shared: :func:`to_standard_form` returns the same object
     for every call at the same model revision, so treat all fields as
-    read-only.  Solvers that tighten bounds (branch and bound) must work on
-    copies of ``lower``/``upper``, never mutate them in place.
+    read-only.
     """
 
     variables: List[Variable]
     c: np.ndarray
-    a_ub: CsrMatrix
+    a_ub: csr_matrix
     b_ub: np.ndarray
-    a_eq: CsrMatrix
+    a_eq: csr_matrix
     b_eq: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
@@ -88,6 +85,7 @@ class StandardForm:
     def assignment(self, x: np.ndarray) -> Dict[Variable, float]:
         """Build a variable->value mapping from a solution vector."""
         return {var: float(x[i]) for i, var in enumerate(self.variables)}
+
 
 def to_standard_form(model: Model) -> StandardForm:
     """Lower ``model`` to :class:`StandardForm` (cached per model revision).
@@ -138,9 +136,9 @@ def _lower(model: Model) -> StandardForm:
             eq_rows.append((cols, vals))
             eq_rhs.append(rhs)
 
-    a_ub = CsrMatrix.from_rows(ub_rows, n) if ub_rows else CsrMatrix.empty(n)
+    a_ub = _csr_from_rows(ub_rows, n)
     b_ub = np.asarray(ub_rhs, dtype=float)
-    a_eq = CsrMatrix.from_rows(eq_rows, n) if eq_rows else CsrMatrix.empty(n)
+    a_eq = _csr_from_rows(eq_rows, n)
     b_eq = np.asarray(eq_rhs, dtype=float)
 
     lower = np.zeros(n)
@@ -165,3 +163,17 @@ def _lower(model: Model) -> StandardForm:
         objective_sign=sign,
         objective_offset=offset,
     )
+
+
+def _csr_from_rows(rows: List, num_cols: int) -> csr_matrix:
+    """Stack per-row ``(column_indices, values)`` pairs into a CSR matrix."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    for i, (row_cols, _) in enumerate(rows):
+        indptr[i + 1] = indptr[i] + len(row_cols)
+    if indptr[-1]:
+        indices = np.concatenate([cols for cols, _ in rows])
+        data = np.concatenate([vals for _, vals in rows])
+    else:
+        indices = np.zeros(0, dtype=np.int64)
+        data = np.zeros(0)
+    return csr_matrix((data, indices, indptr), shape=(len(rows), num_cols))

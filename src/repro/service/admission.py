@@ -51,7 +51,6 @@ from ..dsps.allocation import Allocation
 from ..dsps.engine import ClusterEngine
 from ..exceptions import PlanningError
 from ..dsps.query import Query, QueryWorkloadItem
-from ..milp import SOLVER_COUNTER_FIELDS
 from .metrics import MetricsRegistry
 
 __all__ = [
@@ -276,14 +275,6 @@ class AdmissionService:
         self._m_solve = registry.histogram("solve_seconds")
         self._m_deploy = registry.histogram("deploy_seconds")
         self._m_latency = registry.histogram("admission_latency_seconds")
-        # One monotonic counter per simplex counter field (solver_dual_resumes_total,
-        # solver_phase1_iterations_total, …) so re-plan cost is observable in
-        # the same registry as admission throughput.  Outcomes of one batch
-        # share a counters dict; _observe_solver_counters dedupes by identity.
-        self._m_solver = {
-            name: registry.counter(f"solver_{name}_total")
-            for name in SOLVER_COUNTER_FIELDS
-        }
 
         if self.config.pipelined:
             solver = threading.Thread(
@@ -416,26 +407,6 @@ class AdmissionService:
         return batch
 
     # ----------------------------------------------------------------- stages
-    def _observe_solver_counters(self, outcomes: List[PlanningOutcome]) -> None:
-        """Fold the outcomes' simplex counters into the metrics registry.
-
-        Outcomes of one planning round share a single counters dict (a
-        batch, or stage A + B of a two-stage solve), so aggregation dedupes
-        by object identity within this call — a ten-query batch counts its
-        solve once.  Fallback re-submissions carry their own dicts and are
-        counted separately.
-        """
-        seen: set = set()
-        for outcome in outcomes:
-            counters = outcome.extras.get("solver_counters")
-            if not counters or id(counters) in seen:
-                continue
-            seen.add(id(counters))
-            for name, value in counters.items():
-                metric = self._m_solver.get(name)
-                if metric is not None and value:
-                    metric.inc(value)
-
     def _publish_worker_metrics(self) -> None:
         """Mirror the planner's execution-backend utilisation into gauges.
 
@@ -483,12 +454,7 @@ class AdmissionService:
                 retry = [o for o in outcomes if not o.admitted]
             if retry:
                 self._m_fallbacks.inc()
-                # A fallback retry re-solves a model the batch solve just
-                # built: resubmit routes it through the planner's
-                # dual-simplex warm-start path.
-                rescued = {
-                    id(o): self.planner.resubmit(o.query) for o in retry
-                }
+                rescued = {id(o): self.planner.submit(o.query) for o in retry}
                 outcomes = [rescued.get(id(o), o) for o in outcomes]
         self._m_batches.inc()
         self._m_batch_size.observe(float(len(batch)))
@@ -504,7 +470,6 @@ class AdmissionService:
                 self._m_reuse_exact.inc()
             elif outcome.reuse_partial:
                 self._m_reuse_partial.inc()
-        self._observe_solver_counters(outcomes)
         self._publish_worker_metrics()
         allocation = self.planner.allocation
         if self.engine is not None and allocation is not None:

@@ -434,10 +434,7 @@ class SimulationHarness:
             dropped_now = set(reconcile())
             counters["dropped"] += len(dropped_now)
             for victim in report.victims:
-                # A churn victim is a perturbation re-solve of a known
-                # query: route it through resubmit so MILP planners take
-                # the dual-simplex warm-start path.
-                outcome = planner.resubmit(catalog.get_query(victim))
+                outcome = planner.submit(catalog.get_query(victim))
                 if outcome.admitted:
                     counters["readmitted"] += 1
                     if victim in dropped_now:

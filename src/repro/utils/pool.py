@@ -16,7 +16,8 @@ Three backends cover the latency/parallelism trade-off:
 ``thread``
     A :class:`~concurrent.futures.ThreadPoolExecutor`.  Cheap to spin
     up and shares all state by reference, but the GIL serialises the
-    pure-Python solver core — threads only help when tasks block.
+    Python planning code around each solve — threads only help when
+    tasks block.
 ``process``
     A fork-context :class:`~concurrent.futures.ProcessPoolExecutor` —
     true multicore execution.  ``fn`` and every item (and result) must

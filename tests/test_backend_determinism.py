@@ -486,12 +486,7 @@ class TestShardWorkerInProcess:
         parent, replica, workload = self._twin_planners()
         worker = self._worker_for(replica)
         stats = worker("stats", None)
-        assert set(stats["reuse"]) == {
-            "hits",
-            "misses",
-            "basis_hits",
-            "basis_misses",
-        }
+        assert set(stats["reuse"]) == {"hits", "misses"}
         assert stats["cursor"] == 0
 
     def test_unknown_event_kind_rejected(self):

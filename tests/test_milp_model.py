@@ -10,6 +10,8 @@ import pytest
 from repro.exceptions import ModelError
 from repro.milp.expression import VarType
 from repro.milp.model import Model, ObjectiveSense
+from repro.milp.result import SolveStatus
+from repro.milp.solver import MilpSolver
 from repro.milp.standard_form import to_standard_form
 
 
@@ -171,3 +173,15 @@ class TestStandardForm:
         form = to_standard_form(model)
         x = np.array([1.0, 0.0, 0.0])
         assert form.model_objective(x) == pytest.approx(3.0)
+
+    def test_all_zero_row_stays_infeasible(self):
+        # ``0 <= -1`` lowers to a row with no stored entries; a sparse
+        # matrix's ``.size`` is 0 then, so the solver must test blocks by
+        # row count or it would drop the row and call the model feasible.
+        model = Model()
+        y = model.add_continuous("y", 0.0, 10.0)
+        model.add_constr(0 * y <= -1)
+        form = to_standard_form(model)
+        assert form.a_ub.shape == (1, 1)
+        assert form.a_ub.nnz == 0
+        assert MilpSolver().solve(model).status is SolveStatus.INFEASIBLE

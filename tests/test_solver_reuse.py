@@ -1,90 +1,27 @@
-"""Solver-reuse tests: warm starts and model reuse never change results.
+"""Model-reuse tests: the planner's model cache never changes results.
 
-The incremental-reuse machinery added to the MILP stack (parent-basis warm
-starts in branch and bound, incumbent seeding from the previous planning
-round, the planner's model-reuse cache) is a pure speed optimisation.  This
-module pins down the contract: with reuse on or off, every registry planner
-admits the same queries and reports the same objective values, and the
-branch-and-bound solver returns the same optimum.
+The planner's :class:`~repro.core.model_builder.ModelReuseCache` hands a
+previously built model back when a planning round's scope and system state
+match an earlier one.  It is a pure speed optimisation; this module pins
+the contract that with reuse on or off every registry planner admits the
+same queries and reports the same objective values.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.api import PlannerConfig, create_planner
-from repro.milp.branch_and_bound import BnbOptions, solve_branch_and_bound
-from repro.milp.expression import lin_sum
-from repro.milp.model import Model, ObjectiveSense
-from repro.milp.result import SolveStatus
-from repro.milp.solver import SolverBackend
 
 from tests.conftest import make_catalog, query_over
 
 ALL_PLANNERS = ["sqpr", "heuristic", "soda", "optimistic_bound"]
 
 
-def _random_milp(seed: int) -> Model:
-    """A random mixed-integer model with a bounded feasible region."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(3, 7))
-    model = Model(f"rand{seed}", sense=ObjectiveSense.MAXIMIZE)
-    items = [model.add_binary(f"b{k}") for k in range(n)]
-    extra = model.add_continuous("y", 0.0, 5.0)
-    weights = rng.uniform(1, 5, n)
-    values = rng.uniform(1, 10, n)
-    capacity = float(weights.sum() * 0.6)
-    model.add_constr(lin_sum(w * x for w, x in zip(weights, items)) <= capacity)
-    model.add_constr(extra <= lin_sum(items))
-    model.set_objective(lin_sum(v * x for v, x in zip(values, items)) + 0.5 * extra)
-    return model
-
-
-class TestBranchAndBoundWarmStart:
-    @pytest.mark.parametrize("engine", ["simplex", "auto"])
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_warm_equals_cold(self, seed, engine):
-        warm = solve_branch_and_bound(
-            _random_milp(seed), BnbOptions(lp_engine=engine, warm_start=True)
-        )
-        cold = solve_branch_and_bound(
-            _random_milp(seed), BnbOptions(lp_engine=engine, warm_start=False)
-        )
-        assert warm.status is SolveStatus.OPTIMAL
-        assert cold.status is SolveStatus.OPTIMAL
-        assert warm.objective == pytest.approx(cold.objective, rel=1e-6, abs=1e-6)
-
-    def test_feasible_hint_seeds_incumbent_without_changing_optimum(self):
-        model = _random_milp(7)
-        baseline = solve_branch_and_bound(model, BnbOptions(lp_engine="simplex"))
-        assert baseline.status is SolveStatus.OPTIMAL
-        # Hint the all-zeros solution (feasible: the knapsack row is <=).
-        hinted = _random_milp(7)
-        hinted.set_warm_start({var: 0.0 for var in hinted.variables})
-        seeded = solve_branch_and_bound(hinted, BnbOptions(lp_engine="simplex"))
-        assert seeded.status is SolveStatus.OPTIMAL
-        assert seeded.objective == pytest.approx(baseline.objective, rel=1e-6, abs=1e-6)
-
-    def test_infeasible_hint_is_ignored(self):
-        model = _random_milp(9)
-        baseline = solve_branch_and_bound(model, BnbOptions(lp_engine="simplex"))
-        hinted = _random_milp(9)
-        # Violates the knapsack constraint: every item selected.
-        hinted.set_warm_start({var: 1.0 for var in hinted.variables})
-        seeded = solve_branch_and_bound(hinted, BnbOptions(lp_engine="simplex"))
-        assert seeded.objective == pytest.approx(baseline.objective, rel=1e-6, abs=1e-6)
-
-
 def _run_workload(name: str, reuse: bool):
     """Admit a small workload twice over (with repeats) and collect outcomes."""
     catalog = make_catalog(num_hosts=3, cpu=8.0, num_base=4)
-    config = PlannerConfig(
-        time_limit=2.0,
-        backend=SolverBackend.BRANCH_AND_BOUND,
-        reuse_model=reuse,
-        warm_start=reuse,
-    )
+    config = PlannerConfig(time_limit=2.0, reuse_model=reuse)
     planner = create_planner(name, catalog, config=config)
     workload = [
         query_over("b0", "b1"),
@@ -98,6 +35,8 @@ def _run_workload(name: str, reuse: bool):
 
 
 class TestPlannerWarmStartEquivalence:
+    """A planner with a warm model-reuse cache decides like a cold one."""
+
     @pytest.mark.parametrize("name", ALL_PLANNERS)
     def test_warm_and_cold_planning_agree(self, name):
         _, warm_outcomes = _run_workload(name, reuse=True)
@@ -115,7 +54,6 @@ class TestPlannerWarmStartEquivalence:
         assert planned, "workload should exercise the planning path"
         for outcome in planned:
             assert isinstance(outcome.reused_model, bool)
-            assert isinstance(outcome.warm_seeded, bool)
 
 
 class TestModelReuseCache:
@@ -124,9 +62,7 @@ class TestModelReuseCache:
         # the allocation untouched, so retrying the same query must reuse the
         # cached model instead of rebuilding it.
         catalog = make_catalog(num_hosts=2, cpu=0.5, num_base=3, rate=50.0)
-        config = PlannerConfig(
-            time_limit=2.0, backend=SolverBackend.BRANCH_AND_BOUND, two_stage=False
-        )
+        config = PlannerConfig(time_limit=2.0, two_stage=False)
         planner = create_planner("sqpr", catalog, config=config)
         query = catalog.register_query(query_over("b0", "b1", "b2"))
         first = planner.submit(query)
@@ -138,13 +74,7 @@ class TestModelReuseCache:
     def test_reset_clears_reuse_state(self):
         planner, _ = _run_workload("sqpr", reuse=True)
         planner.reset()
-        assert planner.reuse_stats == {
-            "hits": 0,
-            "misses": 0,
-            "basis_hits": 0,
-            "basis_misses": 0,
-        }
-        assert planner._last_values == {}
+        assert planner.reuse_stats == {"hits": 0, "misses": 0}
 
     def test_disabled_reuse_never_hits(self):
         planner, _ = _run_workload("sqpr", reuse=False)
